@@ -22,7 +22,6 @@ import (
 
 	"github.com/genbase/genbase/internal/core"
 	"github.com/genbase/genbase/internal/datagen"
-	"github.com/genbase/genbase/internal/engine"
 	"github.com/genbase/genbase/internal/linalg"
 	"github.com/genbase/genbase/internal/parallel"
 )
@@ -38,8 +37,6 @@ func main() {
 	reps := flag.Int("reps", 3, "repetitions per query (minimum kept)")
 	extension := flag.String("extension", "", "extension experiment: weak|bigcluster|approxsvd (paper future work)")
 	workers := flag.Int("workers", 0, "analytics worker count for every engine (0 = GENBASE_PARALLEL or NumCPU)")
-	zerocopy := flag.Bool("zerocopy", true, "use the zero-copy storage→kernel path; false re-enables the historical materialize/copy path (ablation, bitwise-identical answers)")
-	compress := flag.Bool("compress", true, "evaluate predicates on compressed column pages (dict-code EQ, RLE run skipping, packed-word tests); false re-enables the decode-then-filter path (ablation, bitwise-identical answers)")
 	parallelSweep := flag.String("parallel-sweep", "", "comma-separated worker counts: time the hot kernels at each and report single-core vs multicore speedups (e.g. 1,2,4,8)")
 	clients := flag.String("clients", "", "serve mode: comma-separated client counts (e.g. 1,2,4) driving concurrent queries through internal/serve; reports QPS and p50/p99 per engine")
 	duration := flag.Duration("duration", 1500*time.Millisecond, "serve mode: measurement window per (system, clients) run")
@@ -105,8 +102,6 @@ func main() {
 		parallel.SetDefault(*workers)
 		core.SetWorkers(*workers)
 	}
-	engine.SetZeroCopy(*zerocopy)
-	engine.SetCompression(*compress)
 
 	if !*all && *figure == 0 && *table == 0 && *extension == "" && *parallelSweep == "" && *clients == "" && *route == "" && !*faultDrill && !*scanBench && !*crashDrill {
 		flag.Usage()

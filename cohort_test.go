@@ -2,6 +2,7 @@ package genbase
 
 import (
 	"context"
+	"errors"
 	"math"
 	"reflect"
 	"testing"
@@ -10,6 +11,7 @@ import (
 	"github.com/genbase/genbase/internal/datagen"
 	"github.com/genbase/genbase/internal/engine"
 	"github.com/genbase/genbase/internal/plan"
+	"github.com/genbase/genbase/internal/serve"
 )
 
 // Every operator of every scenario's compiled DAG must be implemented by at
@@ -44,7 +46,6 @@ func TestEveryScenarioSupportedBySomeEngine(t *testing.T) {
 // single-node configuration (the acceptance bar is ≥ 4 engines) and the
 // answers must agree across engines.
 func TestCohortRegressionRunsEverywhereWithZeroEngineCode(t *testing.T) {
-	engine.SetZeroCopy(true)
 	ds, err := datagen.Generate(datagen.Config{Size: datagen.Small, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
@@ -136,5 +137,48 @@ func TestCohortRegressionRunsEverywhereWithZeroEngineCode(t *testing.T) {
 		if d := math.Abs(r.ans.RSquared - ref.RSquared); d > 1e-6 {
 			t.Errorf("%s: R² %g, want %g", r.name, r.ans.RSquared, ref.RSquared)
 		}
+	}
+}
+
+// A cohort with fewer patients than selected genes has no least-squares
+// fit. That is the request's fault, not the engine's: served through the
+// serving tier it must come back typed engine.ErrBadParams — whether the
+// solve fails on shape (scidb's host QR) or on a singular normal-equations
+// system (the distributed and Mahout-style solves) — and must not count as
+// an engine failure or feed the breaker.
+func TestUnderdeterminedCohortIsBadParams(t *testing.T) {
+	ds, err := datagen.Generate(datagen.Config{Size: datagen.Small, Seed: 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := engine.DefaultParams()
+	p.DiseaseID = 3
+	p.CohortFunctionThreshold = 40 // more genes than the cohort has patients
+	fleet, err := core.FleetConfigs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := map[string]bool{"scidb": true, "pbdr@2n": true, "hadoop": true}
+	for _, m := range fleet {
+		if !want[m.Key] {
+			continue
+		}
+		delete(want, m.Key)
+		eng := m.New(t.TempDir())
+		defer eng.Close()
+		if err := eng.Load(ds); err != nil {
+			t.Fatalf("%s: load: %v", m.Key, err)
+		}
+		srv := serve.New(eng, serve.Options{MaxConcurrent: 1, DisableCache: true})
+		_, _, err := srv.Run(context.Background(), engine.Q6CohortRegression, p)
+		if !errors.Is(err, engine.ErrBadParams) {
+			t.Errorf("%s: want ErrBadParams, got %v", m.Key, err)
+		}
+		if st := srv.Stats(); st.EngineFailures != 0 {
+			t.Errorf("%s: %d engine failures counted for a bad-params request", m.Key, st.EngineFailures)
+		}
+	}
+	if len(want) != 0 {
+		t.Fatalf("fleet lacks %v", want)
 	}
 }

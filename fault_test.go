@@ -68,7 +68,6 @@ func TestFaultGoldenInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fault golden sweep is not short")
 	}
-	engine.SetZeroCopy(true)
 	ds, err := datagen.Generate(datagen.Config{Size: datagen.Small, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -44,7 +44,6 @@ func TestIngestEpochPinnedInvariance(t *testing.T) {
 	if testing.Short() {
 		t.Skip("fleet sweep is not short")
 	}
-	engine.SetZeroCopy(true)
 	ds, err := datagen.Generate(datagen.Config{Size: datagen.Small, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

@@ -119,8 +119,8 @@ func (g TextGlue) TransferVector(ctx context.Context, v []float64) ([]float64, e
 // ZeroCopyGlue is the zero-copy UDF boundary: the analytics runtime receives
 // the DBMS's matrix itself (a view over storage or a pooled gather), paying
 // no transfer at all. Safe because the kernels never mutate their operands
-// (view.go's aliasing contract); the engines select it only on the
-// in-process UDF path when the zero-copy knob is on.
+// (view.go's aliasing contract); the engines select it on the in-process
+// UDF path.
 type ZeroCopyGlue struct{}
 
 // Name implements Glue.

@@ -26,14 +26,12 @@ type Engine struct {
 	Accel Accelerator
 
 	expr *Array2D
-	// 1-D attribute arrays indexed by patient id.
-	age, gender, disease []int64
-	drugResponse         []float64
-	// 1-D attribute arrays indexed by gene id.
+	// 1-D attribute array indexed by patient id.
+	drugResponse []float64
+	// 1-D attribute array indexed by gene id.
 	function []int64
-	// Compressed twins of the attribute arrays (internal/colpage), built at
-	// Load so the -compress knob can flip at query time: SelectIDs pushes
-	// structured predicates down to these instead of scanning dense.
+	// The predicate attributes as compressed 1-D arrays (internal/colpage):
+	// SelectIDs pushes structured predicates down to these.
 	attrPages map[string]*colpage.IntPage
 	// GO membership in array form: belongs[gene, term].
 	goArr   []uint8
@@ -86,14 +84,14 @@ func (e *Engine) Load(ds *datagen.Dataset) error {
 	}
 	e.expr = FromMatrix(ds.Expression, cs, cs)
 	p := ds.Dims.Patients
-	e.age = make([]int64, p)
-	e.gender = make([]int64, p)
-	e.disease = make([]int64, p)
+	age := make([]int64, p)
+	gender := make([]int64, p)
+	disease := make([]int64, p)
 	e.drugResponse = make([]float64, p)
 	for i, pt := range ds.Patients {
-		e.age[i] = int64(pt.Age)
-		e.gender[i] = int64(pt.Gender)
-		e.disease[i] = int64(pt.DiseaseID)
+		age[i] = int64(pt.Age)
+		gender[i] = int64(pt.Gender)
+		disease[i] = int64(pt.DiseaseID)
 		e.drugResponse[i] = pt.DrugResponse
 	}
 	e.function = make([]int64, ds.Dims.Genes)
@@ -104,9 +102,9 @@ func (e *Engine) Load(ds *datagen.Dataset) error {
 	copy(e.goArr, ds.GO)
 	e.numPats, e.numGen, e.numTerm = p, ds.Dims.Genes, ds.Dims.GOTerms
 	e.attrPages = map[string]*colpage.IntPage{
-		plan.ColAge:       colpage.BuildInt(e.age),
-		plan.ColGender:    colpage.BuildInt(e.gender),
-		plan.ColDiseaseID: colpage.BuildInt(e.disease),
+		plan.ColAge:       colpage.BuildInt(age),
+		plan.ColGender:    colpage.BuildInt(gender),
+		plan.ColDiseaseID: colpage.BuildInt(disease),
 		plan.ColFunction:  colpage.BuildInt(e.function),
 	}
 	return nil

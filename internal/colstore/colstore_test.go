@@ -5,6 +5,7 @@ import (
 	"math"
 	"testing"
 	"testing/quick"
+	"time"
 
 	"github.com/genbase/genbase/internal/datagen"
 	"github.com/genbase/genbase/internal/engine"
@@ -247,21 +248,32 @@ func TestUDFBiclusterPaysTextTransferRepeatedly(t *testing.T) {
 	if err := rmode.Load(testDataset()); err != nil {
 		t.Fatal(err)
 	}
-	ru, err := udf.Run(ctx, engine.Q3Biclustering, p)
-	if err != nil {
-		t.Fatal(err)
-	}
-	rr, err := rmode.Run(ctx, engine.Q3Biclustering, p)
-	if err != nil {
-		t.Fatal(err)
+	// Transfers are timed by wall clock, so host load (other test binaries)
+	// can inflate one run: compare the min of three interleaved runs each.
+	var ru, rr *engine.Result
+	var udfT, rT time.Duration
+	for rep := 0; rep < 3; rep++ {
+		var err error
+		if ru, err = udf.Run(ctx, engine.Q3Biclustering, p); err != nil {
+			t.Fatal(err)
+		}
+		if rr, err = rmode.Run(ctx, engine.Q3Biclustering, p); err != nil {
+			t.Fatal(err)
+		}
+		if rep == 0 || ru.Timing.Transfer < udfT {
+			udfT = ru.Timing.Transfer
+		}
+		if rep == 0 || rr.Timing.Transfer < rT {
+			rT = rr.Timing.Transfer
+		}
 	}
 	// The UDF path serializes once per bicluster; the R path once total. With
 	// ≥2 biclusters found the UDF transfer cost must exceed the single-export
 	// cost. (Both must still agree on the answer — checked above.)
 	blocks := len(ru.Answer.(*engine.BiclusterAnswer).Blocks)
-	if blocks >= 2 && ru.Timing.Transfer <= rr.Timing.Transfer {
+	if blocks >= 2 && udfT <= rT {
 		t.Fatalf("UDF bicluster transfer %v should exceed single export %v (%d blocks)",
-			ru.Timing.Transfer, rr.Timing.Transfer, blocks)
+			udfT, rT, blocks)
 	}
 }
 
@@ -308,7 +320,7 @@ func TestPivotDenseFullSelectionIsAView(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctx := context.Background()
-	m, err := e.pivotMicro(ctx, nil, nil)
+	m, err := e.Pivot(ctx, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -317,7 +329,11 @@ func TestPivotDenseFullSelectionIsAView(t *testing.T) {
 	}
 	// An identity gene selection (every id, in order) is also served as a
 	// view — the shape a predicate that nothing fails produces.
-	m2, err := e.pivotMicro(ctx, nil, identityIDs(e.numGenes))
+	all := make([]int64, e.numGenes)
+	for i := range all {
+		all[i] = int64(i)
+	}
+	m2, err := e.Pivot(ctx, nil, all)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -325,7 +341,7 @@ func TestPivotDenseFullSelectionIsAView(t *testing.T) {
 		t.Fatal("identity gene selection must be a zero-copy view")
 	}
 	// A genuine subset must NOT alias storage (it is a pooled gather).
-	m3, err := e.pivotMicro(ctx, []int64{1, 3}, nil)
+	m3, err := e.Pivot(ctx, []int64{1, 3}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

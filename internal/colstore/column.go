@@ -3,13 +3,12 @@
 // dictionary, and bit-packed frame-of-reference encodings), and operators
 // are vectorized over selection vectors with late materialization.
 // Structured predicates are pushed down to the encoded form (DESIGN.md
-// §15); the -compress=false ablation falls back to decode-then-filter.
-// Like the paper's configurations 4–5 it runs in two analytics modes:
+// §15). Like the paper's configurations 4–5 it runs in two analytics modes:
 // exporting to an external R (text COPY) or calling R through an
 // in-process UDF interface. Float columns are stored as plain aligned
 // []float64 and can be handed to the kernels as zero-copy column views
-// (FloatView); decoding through Materialize is the slow path kept for the
-// compressed integer columns and the -zerocopy=false ablation.
+// (FloatView); decoding through Materialize is the slow path for the
+// compressed integer columns.
 package colstore
 
 import (
@@ -89,8 +88,7 @@ func (c *IntColumn) Materialize() []int64 {
 	return c.page.AppendTo(make([]int64, 0, c.page.Len()))
 }
 
-// CompressedBytes is the column's encoded storage footprint, for the
-// compression ablation bench.
+// CompressedBytes is the column's encoded storage footprint.
 func (c *IntColumn) CompressedBytes() int { return c.page.EncodedBytes() }
 
 // Table is a named collection of equal-length columns.

@@ -36,28 +36,25 @@ type Engine struct {
 
 	mode Mode
 
-	micro *Table // geneid, patientid, value — narrow, patient-major
 	pats  *Table
 	genes *Table
 	goTab *Table
 
 	numPatients, numGenes, numTerms int
 
-	// Zero-copy path state (DESIGN.md §10): Load stores the microarray
-	// value column patient-major dense, so vals IS the expression matrix in
-	// row-major layout. denseVals records that invariant; fns caches the
-	// decoded gene-function column the Q2 summary joins against.
-	vals      []float64
-	denseVals bool
-	meta      engine.GeneMeta // funcLookup over the decoded function column, boxed once at Load
+	// vals is the microarray value column stored patient-major dense, so it
+	// IS the expression matrix in row-major layout (DESIGN.md §10): pivots
+	// are views or pooled gathers over it. meta is the gene-function lookup
+	// the Q2 summary joins against, boxed once at Load.
+	vals []float64
+	meta engine.GeneMeta
 
 	text analytics.Glue
-	bin  analytics.Glue
 }
 
 // New creates a column-store engine.
 func New(mode Mode) *Engine {
-	return &Engine{mode: mode, text: analytics.TextGlue{}, bin: analytics.BinaryGlue{}}
+	return &Engine{mode: mode, text: analytics.TextGlue{}}
 }
 
 // Name implements engine.Engine.
@@ -84,27 +81,10 @@ func (e *Engine) Close() error { return nil }
 // Load implements engine.Engine: columns are built once, compressed.
 func (e *Engine) Load(ds *datagen.Dataset) error {
 	p, g := ds.Dims.Patients, ds.Dims.Genes
-	n := p * g
-	geneCol := make([]int64, n)
-	patCol := make([]int64, n)
-	valCol := make([]float64, n)
-	k := 0
+	e.vals = make([]float64, p*g)
 	for pi := 0; pi < p; pi++ {
-		row := ds.Expression.Row(pi)
-		for gi, v := range row {
-			geneCol[k] = int64(gi)
-			patCol[k] = int64(pi) // sorted → RLE compresses to p runs
-			valCol[k] = v
-			k++
-		}
+		copy(e.vals[pi*g:(pi+1)*g], ds.Expression.Row(pi))
 	}
-	e.micro = NewTable("microarray", n).AddInt("geneid", geneCol).AddInt("patientid", patCol).AddFloat("value", valCol)
-	// The loop above wrote valCol patient-major dense: row pi of the
-	// expression matrix is valCol[pi*g : (pi+1)*g]. The zero-copy pivot
-	// exploits this; the compressed columns stay authoritative for the
-	// general (slow) path.
-	e.vals = valCol
-	e.denseVals = true
 
 	ids := make([]int64, p)
 	ages := make([]int64, p)
@@ -148,7 +128,7 @@ func (e *Engine) Load(ds *datagen.Dataset) error {
 // Run implements engine.Engine: compile the query into the shared operator
 // IR and execute it against this engine's physical operators (ops.go).
 func (e *Engine) Run(ctx context.Context, q engine.QueryID, p engine.Params) (*engine.Result, error) {
-	if e.micro == nil {
+	if e.vals == nil {
 		return nil, fmt.Errorf("colstore: not loaded")
 	}
 	pl, err := plan.Compile(q, p)
@@ -160,80 +140,13 @@ func (e *Engine) Run(ctx context.Context, q engine.QueryID, p engine.Params) (*e
 
 // glue returns the boundary used for ordinary analytics calls. The text
 // COPY stream is the "+ R" configuration's defining cost and is never
-// bypassed; the in-process UDF hand-off becomes a true zero-copy hand-off
-// when the knob is on (the kernels never mutate their operands).
+// bypassed; the in-process UDF hand-off is a true zero-copy hand-off (the
+// kernels never mutate their operands).
 func (e *Engine) glue() analytics.Glue {
 	if e.mode == ModeUDF {
-		if engine.ZeroCopyEnabled() {
-			return analytics.ZeroCopyGlue{}
-		}
-		return e.bin
+		return analytics.ZeroCopyGlue{}
 	}
 	return e.text
-}
-
-// pivotMicro builds the dense matrix for the given patient and gene id sets
-// (nil means all) using selection vectors over the compressed microarray
-// columns — the column store's late-materialization path.
-func (e *Engine) pivotMicro(ctx context.Context, patientIDs, geneIDs []int64) (*linalg.Matrix, error) {
-	if err := engine.CheckCtx(ctx); err != nil {
-		return nil, err
-	}
-	if e.denseVals && engine.ZeroCopyEnabled() {
-		// Zero-copy pivot over the patient-major dense value column:
-		// identity selections are views, subsets are pooled gathers.
-		return engine.PivotDense(ctx, e.vals, e.numPatients, e.numGenes, patientIDs, geneIDs)
-	}
-	if patientIDs == nil {
-		patientIDs = identityIDs(e.numPatients)
-	}
-	if geneIDs == nil {
-		geneIDs = identityIDs(e.numGenes)
-	}
-	patIdx := make([]int32, e.numPatients)
-	for i := range patIdx {
-		patIdx[i] = -1
-	}
-	for i, id := range patientIDs {
-		patIdx[id] = int32(i)
-	}
-	geneIdx := make([]int32, e.numGenes)
-	for i := range geneIdx {
-		geneIdx[i] = -1
-	}
-	for i, id := range geneIDs {
-		geneIdx[id] = int32(i)
-	}
-
-	// Selection on the RLE patientid column: whole patient runs accepted or
-	// rejected at run granularity.
-	sel := e.micro.Int("patientid").Select(func(v int64) bool { return patIdx[v] >= 0 }, nil)
-	if len(geneIDs) < e.numGenes {
-		gc := e.micro.Int("geneid")
-		sel = gc.SelectRefine(func(v int64) bool { return geneIdx[v] >= 0 }, sel)
-	}
-	if err := engine.CheckCtx(ctx); err != nil {
-		return nil, err
-	}
-
-	m := linalg.NewMatrix(len(patientIDs), len(geneIDs))
-	gc := e.micro.Int("geneid")
-	pc := e.micro.Int("patientid")
-	vals := e.micro.Float("value")
-	for _, i := range sel {
-		pi := patIdx[pc.At(int(i))]
-		gi := geneIdx[gc.At(int(i))]
-		m.Set(int(pi), int(gi), vals[i])
-	}
-	return m, nil
-}
-
-func identityIDs(n int) []int64 {
-	out := make([]int64, n)
-	for i := range out {
-		out[i] = int64(i)
-	}
-	return out
 }
 
 type funcLookup struct{ fns []int64 }

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 	"time"
 
@@ -39,23 +40,36 @@ func TestWeakScalingTables(t *testing.T) {
 
 func TestLargeClusterTables(t *testing.T) {
 	s := extSuite()
-	tables, err := s.RunLargeCluster(context.Background(), []int{1, 8, 48})
-	if err != nil {
-		t.Fatal(err)
-	}
-	reg := tables[0]
-	for _, sys := range WeakScalingSystems() {
-		for _, col := range reg.ColLabels {
-			if reg.Get(sys, col).Missing {
-				t.Fatalf("%s/%s missing", sys, col)
+	// Node closures are timed by wall clock, so host load (other test
+	// binaries) inflates them. Min of three sweeps per cell: each sweep
+	// visits every node count, so the reps interleave across counts.
+	// GOMAXPROCS 1 runs the closures serially (cluster.RunNodes'
+	// small-host policy), so a run's own nodes never time-share a core.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	best := map[string]float64{}
+	for rep := 0; rep < 3; rep++ {
+		tables, err := s.RunLargeCluster(context.Background(), []int{1, 8, 48})
+		if err != nil {
+			t.Fatal(err)
+		}
+		reg := tables[0]
+		for _, sys := range WeakScalingSystems() {
+			for _, col := range reg.ColLabels {
+				c := reg.Get(sys, col)
+				if c.Missing {
+					t.Fatalf("%s/%s missing", sys, col)
+				}
+				if v, ok := best[sys+"/"+col]; !ok || c.Seconds < v {
+					best[sys+"/"+col] = c.Seconds
+				}
 			}
 		}
 	}
 	// §6.1's prediction: at 48 nodes on a small fixed dataset, communication
 	// dominates — 48 nodes must NOT be dramatically faster than 8.
 	for _, sys := range WeakScalingSystems() {
-		t8 := reg.Get(sys, "8 node(s)").Seconds
-		t48 := reg.Get(sys, "48 node(s)").Seconds
+		t8 := best[sys+"/8 node(s)"]
+		t48 := best[sys+"/48 node(s)"]
 		if t48 < t8/6 {
 			t.Fatalf("%s: 48-node speedup vs 8 nodes is implausibly ideal (%v vs %v)", sys, t8, t48)
 		}

@@ -66,7 +66,7 @@ func (s *Suite) RunParallelSweep(ctx context.Context, workerCounts []int) ([]*Ta
 
 	kernels := []sweepKernel{
 		{name: "gemm", run: func(w int) (uint64, error) {
-			return fingerprintMatrix(linalg.MulBlockedP(x, wide, w)), nil
+			return fingerprintMatrix(linalg.MulP(x, wide, w)), nil
 		}},
 		{name: "gram", run: func(w int) (uint64, error) {
 			return fingerprintMatrix(linalg.MulATAP(x, w)), nil

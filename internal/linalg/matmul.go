@@ -6,7 +6,7 @@ import (
 	"github.com/genbase/genbase/internal/parallel"
 )
 
-// matmul implements the GEMM-family kernels. Mul/MulBlocked — the engines'
+// matmul implements the GEMM-family kernels. Mul/MulP — the engines'
 // "native BLAS" path — and the AᵀA/ABᵀ variants all route through the packed,
 // register-tiled hierarchy in gemm.go, blocked at the runtime-resolved
 // mc/kc/nc tile shape (tiles.go; override with GENBASE_KERNEL_TILES or
@@ -91,16 +91,16 @@ func MulNaive(a, b *Matrix) *Matrix {
 	return c
 }
 
-// MulBlocked computes C = A·B through the packed register-tiled kernel with
-// the default worker count. This is the default GEMM.
-func MulBlocked(a, b *Matrix) *Matrix { return MulBlockedP(a, b, 0) }
+// Mul is the default matrix multiply: C = A·B through the packed
+// register-tiled kernel with the default worker count.
+func Mul(a, b *Matrix) *Matrix { return MulP(a, b, 0) }
 
-// MulBlockedP is MulBlocked with an explicit worker count (0 = the
+// MulP is Mul with an explicit worker count (0 = the
 // GENBASE_PARALLEL / NumCPU default). C's row blocks are partitioned across
 // workers, each running the packed hierarchy over its own rows with its own
 // pooled pack scratch; within a row the accumulation order is exactly the
 // serial kernel's, so the result is bitwise identical at any worker count.
-func MulBlockedP(a, b *Matrix, workers int) *Matrix {
+func MulP(a, b *Matrix, workers int) *Matrix {
 	if a.Cols != b.Rows {
 		panic("linalg: mul dimension mismatch")
 	}
@@ -131,9 +131,6 @@ func mulSimple(c, a, b *Matrix) {
 		}
 	}
 }
-
-// Mul is the default matrix multiply (packed register-tiled, multicore).
-func Mul(a, b *Matrix) *Matrix { return MulBlockedP(a, b, 0) }
 
 // MulATA computes AᵀA (a.Cols × a.Cols), exploiting symmetry: only the upper
 // triangle is computed and then mirrored. This is the kernel behind both

@@ -33,21 +33,21 @@ func TestBlockedMatchesNaive(t *testing.T) {
 		c := int((seed>>16)%90) + 1
 		a := randMatrix(r, k, seed)
 		b := randMatrix(k, c, seed^0xabcdef)
-		return MaxAbsDiff(MulBlocked(a, b), MulNaive(a, b)) < 1e-9
+		return MaxAbsDiff(Mul(a, b), MulNaive(a, b)) < 1e-9
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
 	}
 }
 
-// TestMulBlockedLargerThanBlock pins shapes that straddle every level of the
+// TestMulLargerThanBlock pins shapes that straddle every level of the
 // packed hierarchy: more rows than MC, more reduction steps than KC, and odd
 // remainders against the 4-wide register tile.
-func TestMulBlockedLargerThanBlock(t *testing.T) {
+func TestMulLargerThanBlock(t *testing.T) {
 	ts := KernelTiles()
 	a := randMatrix(ts.MC+7, ts.KC+3, 11)
 	b := randMatrix(ts.KC+3, 73, 12)
-	if MaxAbsDiff(MulBlocked(a, b), MulNaive(a, b)) > 1e-9 {
+	if MaxAbsDiff(Mul(a, b), MulNaive(a, b)) > 1e-9 {
 		t.Fatal("packed result diverges beyond one block")
 	}
 }

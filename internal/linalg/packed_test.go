@@ -90,7 +90,7 @@ func TestPackedGEMMBitwiseEqualsNaive(t *testing.T) {
 			}
 			want := MulNaive(a, b)
 			for _, w := range []int{0, 1, 4} {
-				checkBits(t, "packed", w, MulBlockedP(a, b, w), want)
+				checkBits(t, "packed", w, MulP(a, b, w), want)
 			}
 		}
 	})
@@ -116,7 +116,7 @@ func TestPackedGEMMNonFiniteBitwise(t *testing.T) {
 				t.Fatalf("oracle broken: expected NaN, got %v", want.At(0, 0))
 			}
 			for _, w := range []int{0, 1, 4} {
-				checkBits(t, "packed-nonfinite", w, MulBlockedP(a, b, w), want)
+				checkBits(t, "packed-nonfinite", w, MulP(a, b, w), want)
 			}
 		}
 	})
@@ -148,6 +148,6 @@ func TestPackedLargeUnpinnedTiles(t *testing.T) {
 	b := randMatrix(ts.KC+9, 61, 72)
 	want := MulNaive(a, b)
 	for _, w := range []int{0, 1, 4} {
-		checkBits(t, "packed-large", w, MulBlockedP(a, b, w), want)
+		checkBits(t, "packed-large", w, MulP(a, b, w), want)
 	}
 }

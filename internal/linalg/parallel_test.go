@@ -44,7 +44,7 @@ func TestParallelKernelsBitwiseDeterministic(t *testing.T) {
 	x := randMatrix(97, 1, 3).Col(0)
 	xr := randMatrix(211, 1, 4).Col(0)
 
-	mul1 := MulBlockedP(a, b, 1)
+	mul1 := MulP(a, b, 1)
 	ata1 := MulATAP(a, 1)
 	abt1 := MulABTP(a, a, 1)
 	cov1 := CovarianceP(a, 1)
@@ -58,7 +58,7 @@ func TestParallelKernelsBitwiseDeterministic(t *testing.T) {
 	}
 
 	for _, w := range []int{2, 8} {
-		bitsEqualMat(t, "MulBlocked", w, MulBlockedP(a, b, w), mul1)
+		bitsEqualMat(t, "MulP", w, MulP(a, b, w), mul1)
 		bitsEqualMat(t, "MulATA", w, MulATAP(a, w), ata1)
 		bitsEqualMat(t, "MulABT", w, MulABTP(a, a, w), abt1)
 		bitsEqualMat(t, "Covariance", w, CovarianceP(a, w), cov1)
@@ -81,7 +81,7 @@ func TestParallelKernelsBitwiseDeterministic(t *testing.T) {
 func TestDefaultEntryPointsMatchExplicit(t *testing.T) {
 	a := randMatrix(131, 67, 9)
 	b := randMatrix(67, 41, 10)
-	bitsEqualMat(t, "Mul", 0, Mul(a, b), MulBlockedP(a, b, 1))
+	bitsEqualMat(t, "Mul", 0, Mul(a, b), MulP(a, b, 1))
 	bitsEqualMat(t, "MulATA", 0, MulATA(a), MulATAP(a, 1))
 	bitsEqualMat(t, "Covariance", 0, Covariance(a), CovarianceP(a, 1))
 }
@@ -96,8 +96,8 @@ func TestZeroSkipPropagatesNonFinite(t *testing.T) {
 	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
 		b := FromRows([][]float64{{1, 2, 3}, {bad, bad, bad}})
 		for name, mul := range map[string]func(a, b *Matrix) *Matrix{
-			"MulNaive":   MulNaive,
-			"MulBlocked": MulBlocked,
+			"MulNaive": MulNaive,
+			"Mul":      Mul,
 		} {
 			c := mul(a, b)
 			for j := 0; j < 3; j++ {
@@ -123,7 +123,7 @@ func TestZeroSkipPropagatesNonFinite(t *testing.T) {
 	// Fully finite inputs still use the skip and agree with the oracle.
 	f := randMatrix(40, 30, 11)
 	g := randMatrix(30, 20, 12)
-	if MaxAbsDiff(MulBlocked(f, g), MulNaive(f, g)) > 1e-9 {
+	if MaxAbsDiff(Mul(f, g), MulNaive(f, g)) > 1e-9 {
 		t.Fatal("finite fast path diverged")
 	}
 }

@@ -17,6 +17,10 @@ type QR struct {
 // numerically negligible) pivot.
 var ErrRankDeficient = errors.New("linalg: matrix is rank deficient")
 
+// ErrUnderdetermined is returned by NewQR for a matrix with fewer rows than
+// columns.
+var ErrUnderdetermined = errors.New("linalg: QR requires rows >= cols")
+
 // NewQR factors A (m×n, m ≥ n) with Householder reflections. A is not
 // modified. The factor storage comes from the scratch arena; callers that
 // are done with the factorization may Release it (LeastSquares does), and
@@ -24,7 +28,7 @@ var ErrRankDeficient = errors.New("linalg: matrix is rank deficient")
 func NewQR(a *Matrix) (*QR, error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
-		return nil, errors.New("linalg: QR requires rows >= cols")
+		return nil, ErrUnderdetermined
 	}
 	qr := GetMatrix(m, n)
 	for i := 0; i < m; i++ {

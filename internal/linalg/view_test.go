@@ -38,7 +38,7 @@ func TestViewKernelsMatchMaterialized(t *testing.T) {
 	}
 
 	for _, w := range []int{1, 3, 8} {
-		bitsEqualMat(t, "MulBlocked(view)", w, MulBlockedP(av, bv, w), MulBlockedP(am, bm, w))
+		bitsEqualMat(t, "Mul(view)", w, MulP(av, bv, w), MulP(am, bm, w))
 		bitsEqualMat(t, "MulATA(view)", w, MulATAP(av, w), MulATAP(am, w))
 		bitsEqualMat(t, "MulABT(view)", w, MulABTP(av, av, w), MulABTP(am, am, w))
 		bitsEqualMat(t, "Covariance(view)", w, CovarianceP(av, w), CovarianceP(am, w))
@@ -68,7 +68,7 @@ func TestPackedGEMMPropagatesNonFinite(t *testing.T) {
 		bv.Set(0, j, float64(j+1))
 		bv.Set(1, j, math.NaN())
 	}
-	c := MulBlockedP(a, bv, 2)
+	c := MulP(a, bv, 2)
 	for j := 0; j < 3; j++ {
 		if !math.IsNaN(c.At(0, j)) {
 			t.Fatalf("packed GEMM dropped 0·NaN at (0,%d): %v", j, c.At(0, j))

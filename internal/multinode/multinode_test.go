@@ -3,6 +3,7 @@ package multinode
 import (
 	"context"
 	"math"
+	"runtime"
 	"testing"
 
 	"github.com/genbase/genbase/internal/datagen"
@@ -151,17 +152,30 @@ func TestHadoopMultiNodeMatchesReference(t *testing.T) {
 func TestPBDRRegressionScales(t *testing.T) {
 	ds := datagen.MustGenerate(datagen.Config{Size: datagen.Medium, Seed: 9}) // 1000×750
 	p := engine.DefaultParams()
-	times := map[int]float64{}
+	engines := map[int]*Engine{}
 	for _, nodes := range []int{1, 4} {
 		e := New(PBDR, nodes)
 		if err := e.Load(ds); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Run(context.Background(), engine.Q1Regression, p)
-		if err != nil {
-			t.Fatal(err)
+		engines[nodes] = e
+	}
+	// Node closures are timed by wall clock, so host load (other test
+	// binaries) inflates them. Min of three runs per node count,
+	// interleaved across counts; GOMAXPROCS 1 runs the closures serially
+	// (cluster.RunNodes' small-host policy), so a run's own nodes never
+	// time-share a core with each other.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	times := map[int]float64{1: math.Inf(1), 4: math.Inf(1)}
+	for rep := 0; rep < 3; rep++ {
+		for _, nodes := range []int{1, 4} {
+			runtime.GC()
+			res, err := engines[nodes].Run(context.Background(), engine.Q1Regression, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			times[nodes] = math.Min(times[nodes], res.Timing.Total().Seconds())
 		}
-		times[nodes] = res.Timing.Total().Seconds()
 	}
 	if times[4] >= times[1] {
 		t.Fatalf("no speedup 1→4 nodes: %v", times)
@@ -173,22 +187,29 @@ func TestPBDRRegressionScales(t *testing.T) {
 func TestColstoreUDFAnalyticsDoNotScale(t *testing.T) {
 	ds := datagen.MustGenerate(datagen.Config{Size: datagen.Medium, Scale: 0.3, Seed: 9})
 	p := engine.DefaultParams()
-	var a1, a4 float64
+	engines := map[int]*Engine{}
 	for _, nodes := range []int{1, 4} {
 		e := New(ColstoreUDF, nodes)
 		if err := e.Load(ds); err != nil {
 			t.Fatal(err)
 		}
-		res, err := e.Run(context.Background(), engine.Q2Covariance, p)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if nodes == 1 {
-			a1 = res.Timing.Analytics.Seconds()
-		} else {
-			a4 = res.Timing.Analytics.Seconds()
+		engines[nodes] = e
+	}
+	// Min of three interleaved, serialized runs per node count, as in
+	// TestPBDRRegressionScales.
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
+	analytics := map[int]float64{1: math.Inf(1), 4: math.Inf(1)}
+	for rep := 0; rep < 3; rep++ {
+		for _, nodes := range []int{1, 4} {
+			runtime.GC()
+			res, err := engines[nodes].Run(context.Background(), engine.Q2Covariance, p)
+			if err != nil {
+				t.Fatal(err)
+			}
+			analytics[nodes] = math.Min(analytics[nodes], res.Timing.Analytics.Seconds())
 		}
 	}
+	a1, a4 := analytics[1], analytics[4]
 	// Gathering adds communication, so 4-node analytics should be no faster
 	// than ~80% of single node (in practice it is slower).
 	if a4 < a1*0.8 {

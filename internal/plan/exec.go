@@ -2,6 +2,7 @@ package plan
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"strings"
 
@@ -267,6 +268,12 @@ func executeNode[M any](ctx context.Context, ex Physical[M], tk Timekeeper, sw *
 
 	case OpKernelRegression:
 		coef, r2, err := ex.RunRegression(ctx, sw, in(0).(M), in(1).([]float64))
+		if errors.Is(err, linalg.ErrUnderdetermined) || errors.Is(err, linalg.ErrRankDeficient) {
+			// A cohort with fewer patients than selected genes (or a singular
+			// design) has no least-squares fit: the request's parameters are
+			// at fault, not the engine, so it must not feed the breaker.
+			return nil, fmt.Errorf("%w: regression is underdetermined: %w", engine.ErrBadParams, err)
+		}
 		if err != nil {
 			return nil, err
 		}

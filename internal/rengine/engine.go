@@ -6,7 +6,6 @@ import (
 
 	"github.com/genbase/genbase/internal/datagen"
 	"github.com/genbase/genbase/internal/engine"
-	"github.com/genbase/genbase/internal/linalg"
 	"github.com/genbase/genbase/internal/plan"
 )
 
@@ -26,16 +25,14 @@ type Engine struct {
 	Workers int
 
 	ds    *datagen.Dataset
-	micro *Frame // gene, patient, value triples (relational form, §3.1.1)
 	pats  *Frame
 	genes *Frame
 	goTri *Frame // gene, term sparse membership triples
 
-	// Zero-copy path state: Load writes the value triple column
-	// patient-major dense, so vals doubles as the expression matrix in
-	// row-major layout (vals[pi*numGenes+gi]).
-	vals      []float64
-	denseVals bool
+	// vals is the value column of the (gene, patient, value) triples
+	// (relational form, §3.1.1) stored patient-major dense, so it doubles as
+	// the expression matrix in row-major layout (vals[pi*numGenes+gi]).
+	vals []float64
 }
 
 // New creates an unloaded engine.
@@ -67,9 +64,10 @@ func (e *Engine) maxCells() int64 {
 }
 
 // Load ingests the dataset as dataframes in the paper's relational form. The
-// microarray becomes (gene, patient, value) triples, exactly what R's merge
-// and reshape operate on; exceeding the cell budget fails the load, as R
-// does on the large dataset.
+// microarray is charged as (gene, patient, value) triples, exactly what R's
+// merge and reshape operate on; exceeding the cell budget fails the load, as
+// R does on the large dataset. Only the value column is kept: the triples'
+// id columns are implied by its patient-major order.
 func (e *Engine) Load(ds *datagen.Dataset) error {
 	p, g := ds.Dims.Patients, ds.Dims.Genes
 	triples := int64(p) * int64(g)
@@ -80,24 +78,10 @@ func (e *Engine) Load(ds *datagen.Dataset) error {
 	}
 	e.ds = ds
 
-	geneCol := make([]int64, triples)
-	patCol := make([]int64, triples)
-	valCol := make([]float64, triples)
-	k := 0
+	e.vals = make([]float64, triples)
 	for pi := 0; pi < p; pi++ {
-		row := ds.Expression.Row(pi)
-		for gi, v := range row {
-			geneCol[k] = int64(gi)
-			patCol[k] = int64(pi)
-			valCol[k] = v
-			k++
-		}
+		copy(e.vals[pi*g:(pi+1)*g], ds.Expression.Row(pi))
 	}
-	e.micro = NewFrame(int(triples)).AddInt("geneid", geneCol).AddInt("patientid", patCol).AddFloat("value", valCol)
-	// The loop above wrote valCol patient-major dense; the zero-copy pivot
-	// reads it as the expression matrix without touching the triples.
-	e.vals = valCol
-	e.denseVals = true
 
 	ids := make([]int64, p)
 	ages := make([]int64, p)
@@ -148,69 +132,6 @@ func (e *Engine) Run(ctx context.Context, q engine.QueryID, p engine.Params) (*e
 		return nil, err
 	}
 	return plan.Execute(ctx, e, pl)
-}
-
-// selectGenes applies the Q1/Q4 metadata predicate, returning ascending ids.
-// pivotGenes restructures the microarray triples into a dense matrix holding
-// the given genes (columns, in the given order; nil = all) for the given
-// patients (rows, in the given order; nil = all, ascending id). This is the
-// paper's "restructure the information as a matrix" step, R's reshape/acast.
-// With the zero-copy knob on, the full pivot is a view over the value column
-// and subsets are contiguous row copies into pooled scratch; the triple scan
-// below is the copy-path ablation. Cell values are identical either way.
-func (e *Engine) pivotGenes(ctx context.Context, patientIDs, geneIDs []int64) (*linalg.Matrix, error) {
-	if e.denseVals && engine.ZeroCopyEnabled() {
-		// Zero-copy pivot over the patient-major dense value column:
-		// identity selections are views, subsets are pooled gathers.
-		return engine.PivotDense(ctx, e.vals, e.pats.Len(), e.genes.Len(), patientIDs, geneIDs)
-	}
-	nPat := e.pats.Len()
-	patientIdx := allPatientsIndex(nPat)
-	if patientIDs != nil {
-		nPat = len(patientIDs)
-		patientIdx = indexOf(patientIDs)
-	}
-	geneIdx := allPatientsIndex(e.genes.Len()) // identity index over genes
-	if geneIDs != nil {
-		geneIdx = indexOf(geneIDs)
-	}
-	m := linalg.NewMatrix(nPat, len(geneIdx))
-	gc := e.micro.Int("geneid")
-	pc := e.micro.Int("patientid")
-	vc := e.micro.Float("value")
-	for k := range vc {
-		if k%65536 == 0 {
-			if err := engine.CheckCtx(ctx); err != nil {
-				return nil, err
-			}
-		}
-		gi, ok := geneIdx[gc[k]]
-		if !ok {
-			continue
-		}
-		pi, ok := patientIdx[pc[k]]
-		if !ok {
-			continue
-		}
-		m.Set(pi, gi, vc[k])
-	}
-	return m, nil
-}
-
-func allPatientsIndex(n int) map[int64]int {
-	idx := make(map[int64]int, n)
-	for i := 0; i < n; i++ {
-		idx[int64(i)] = i
-	}
-	return idx
-}
-
-func indexOf(ids []int64) map[int64]int {
-	idx := make(map[int64]int, len(ids))
-	for i, v := range ids {
-		idx[v] = i
-	}
-	return idx
 }
 
 func (e *Engine) checkMatrixBudget(rows, cols int) error {

@@ -11,11 +11,11 @@ import (
 )
 
 // Vanilla R's physical operators (plan.Physical): selections and scans walk
-// the dataframes directly, the pivot is R's reshape/acast over the triple
-// frame (or a view over the dense value column on the zero-copy path), and
-// kernels run in-process — subject to R's memory wall: the cell budget is
-// charged before any dataframe or matrix materializes, reproducing "Vanilla
-// R cannot scale to the large dataset".
+// the dataframes directly, the pivot is R's reshape/acast served as a view
+// or pooled gather over the dense value column, and kernels run in-process
+// — subject to R's memory wall: the cell budget is charged before any
+// dataframe or matrix materializes, reproducing "Vanilla R cannot scale to
+// the large dataset".
 
 // Capabilities implements plan.Physical: R implements every operator.
 func (e *Engine) Capabilities() plan.OpSet { return plan.AllOps() }
@@ -74,7 +74,9 @@ func (e *Engine) ScanFloats(_ context.Context, table, col string, ids []int64) (
 }
 
 // Pivot implements plan.Physical: R's reshape of the triples into a dense
-// matrix, after charging the result against the cell budget.
+// matrix (the paper's "restructure the information as a matrix" step),
+// after charging the result against the cell budget. The full pivot is a
+// view over the patient-major value column; subsets are pooled gathers.
 func (e *Engine) Pivot(ctx context.Context, patientIDs, geneIDs []int64) (*linalg.Matrix, error) {
 	rows := e.pats.Len()
 	if patientIDs != nil {
@@ -87,56 +89,32 @@ func (e *Engine) Pivot(ctx context.Context, patientIDs, geneIDs []int64) (*linal
 	if err := e.checkMatrixBudget(rows, cols); err != nil {
 		return nil, err
 	}
-	return e.pivotGenes(ctx, patientIDs, geneIDs)
+	return engine.PivotDense(ctx, e.vals, e.pats.Len(), e.genes.Len(), patientIDs, geneIDs)
 }
 
 // SampleMeans implements plan.Physical: an R aggregate over the merged
-// selection, straight from the triples (or the contiguous dense rows on the
-// zero-copy path — same ascending-patient accumulation order, bitwise
-// identical means).
+// selection, streaming the sampled patients' contiguous rows of the dense
+// value column in ascending patient order.
 func (e *Engine) SampleMeans(ctx context.Context, step int) ([]float64, int, error) {
-	nPat := e.pats.Len()
-	var sampled []int64
-	for i := 0; i < nPat; i += step {
-		sampled = append(sampled, int64(i))
-	}
 	g := e.genes.Len()
 	sums := make([]float64, g)
-	if e.denseVals && engine.ZeroCopyEnabled() {
-		for k, pid := range sampled {
-			if k%64 == 0 {
-				if err := engine.CheckCtx(ctx); err != nil {
-					return nil, 0, err
-				}
-			}
-			row := e.vals[int(pid)*g : (int(pid)+1)*g]
-			for j, v := range row {
-				sums[j] += v
+	sampled := 0
+	for pid := 0; pid < e.pats.Len(); pid += step {
+		if sampled%64 == 0 {
+			if err := engine.CheckCtx(ctx); err != nil {
+				return nil, 0, err
 			}
 		}
-	} else {
-		inSample := make(map[int64]bool, len(sampled))
-		for _, s := range sampled {
-			inSample[s] = true
-		}
-		gc := e.micro.Int("geneid")
-		pc := e.micro.Int("patientid")
-		vc := e.micro.Float("value")
-		for k := range vc {
-			if k%65536 == 0 {
-				if err := engine.CheckCtx(ctx); err != nil {
-					return nil, 0, err
-				}
-			}
-			if inSample[pc[k]] {
-				sums[gc[k]] += vc[k]
-			}
+		sampled++
+		row := e.vals[pid*g : (pid+1)*g]
+		for j, v := range row {
+			sums[j] += v
 		}
 	}
 	for j := range sums {
-		sums[j] /= float64(len(sampled))
+		sums[j] /= float64(sampled)
 	}
-	return sums, len(sampled), nil
+	return sums, sampled, nil
 }
 
 // GOMembers implements plan.Physical: group the GO membership triples by

@@ -33,7 +33,7 @@ type Engine struct {
 	db   *DB
 	glue analytics.Glue
 	// sidecars are the compressed columnar twins (sidecar.go) of the scan
-	// tables, built at Load so the -compress knob can flip at query time.
+	// tables, built at Load; every predicate and full scan reads them.
 	sidecars map[string]*tableSidecar
 
 	numPatients, numGenes, numTerms int
@@ -78,9 +78,7 @@ func (e *Engine) Load(ds *datagen.Dataset) error {
 	e.numPatients = ds.Dims.Patients
 	e.numGenes = ds.Dims.Genes
 	e.numTerms = ds.Dims.GOTerms
-	// Build the compressed columnar sidecars unconditionally: the -compress
-	// knob is consulted at query time, so both settings must be servable
-	// from one loaded engine.
+	// Build the compressed columnar sidecars the scans read.
 	e.sidecars = make(map[string]*tableSidecar)
 	for _, name := range []string{"microarray", "patients", "genes"} {
 		sc, err := buildTableSidecar(context.Background(), db, name)

@@ -12,9 +12,9 @@ import (
 	"github.com/genbase/genbase/internal/relation"
 )
 
-// The row store's physical operators (plan.Physical): selections and scans
-// run as Volcano plans over the slotted heap pages, pivots as hash/bitmap
-// join plans (or the columnar zero-copy decode), and the kernels either ship
+// The row store's physical operators (plan.Physical): selections push down
+// to the compressed columnar sidecars, scans and pivots decode them (or
+// bitmap-fetched heap records) columnar, and the kernels either ship
 // operands to external R over the text COPY boundary (ModeR) or run
 // in-database, Madlib-style — native where Madlib has C++ implementations,
 // simulated SQL plans elsewhere (ModeMadlib).
@@ -50,37 +50,21 @@ func (e *Engine) tableMeta(table string) (*TableHandle, relation.Schema, string,
 }
 
 // SelectIDs implements plan.Physical: σ(pred)(table), returning ascending
-// ids. With compression on the predicates push down to the columnar
-// sidecar's encoded segments (sidecar.go); the -compress=false ablation and
-// the no-predicate case run the historical scan → filter → project → sort
+// ids. Predicates push down to the columnar sidecar's encoded segments
+// (sidecar.go); the no-predicate case runs the scan → project → sort
 // Volcano plan.
 func (e *Engine) SelectIDs(ctx context.Context, table string, preds []planir.Pred) ([]int64, error) {
 	t, schema, idName, err := e.tableMeta(table)
 	if err != nil {
 		return nil, err
 	}
-	if sc := e.sidecars[t.Name]; sc != nil && engine.CompressionEnabled() && len(preds) > 0 {
-		return selectIDsCompressed(ctx, sc, idName, preds)
+	if len(preds) > 0 {
+		return selectIDsCompressed(ctx, e.sidecars[t.Name], idName, preds)
 	}
-	cols := make([]int, len(preds))
-	for i, p := range preds {
-		cols[i] = schema.MustColIndex(p.Col)
-	}
-	idCol := schema.MustColIndex(idName)
 	pln := &SortOp{
 		Child: &Project{
-			Child: &Filter{
-				Child: &SeqScan{Ctx: ctx, Table: t},
-				Pred: func(r relation.Row) bool {
-					for i, p := range preds {
-						if !p.Eval(r[cols[i]].I) {
-							return false
-						}
-					}
-					return true
-				},
-			},
-			Cols: []int{idCol},
+			Child: &SeqScan{Ctx: ctx, Table: t},
+			Cols:  []int{schema.MustColIndex(idName)},
 		},
 		Less: func(a, b relation.Row) bool { return a[0].I < b[0].I },
 	}
@@ -114,14 +98,15 @@ func (e *Engine) ScanFloats(ctx context.Context, table, col string, ids []int64)
 	return out, nil
 }
 
-// Pivot implements plan.Physical via the join + restructure plan (bitmap
-// index scan when the patient predicate is selective, hash join otherwise).
+// Pivot implements plan.Physical via the columnar join + restructure (bitmap
+// index fetch when the patient predicate is selective, sidecar scan
+// otherwise).
 func (e *Engine) Pivot(ctx context.Context, patientIDs, geneIDs []int64) (*linalg.Matrix, error) {
 	return e.pivotJoin(ctx, geneIDs, patientIDs)
 }
 
-// SampleMeans implements plan.Physical via the filter + hash-aggregate plan
-// (or its columnar zero-copy twin).
+// SampleMeans implements plan.Physical via the encoded-space sample
+// aggregate.
 func (e *Engine) SampleMeans(ctx context.Context, step int) ([]float64, int, error) {
 	return e.sampleMeans(ctx, step)
 }
@@ -234,16 +219,13 @@ func (e *Engine) PhysicalName(k planir.OpKind) string {
 	}
 	switch k {
 	case planir.OpSelectPred:
-		if engine.CompressionEnabled() {
-			return "sidecar-segment pushdown (dict-code EQ, run skip, packed-word LT)"
-		}
-		return "Volcano scan-filter-sort plan"
+		return "sidecar-segment pushdown (dict-code EQ, run skip, packed-word LT)"
 	case planir.OpScanTable:
 		return "heap projection scan"
 	case planir.OpSamplePatients:
 		return "patient-id modulus"
 	case planir.OpPivotMicro:
-		return "bitmap/hash join + restructure"
+		return "columnar sidecar/bitmap-fetch join + restructure"
 	case planir.OpKernelRegression, planir.OpKernelCovariance, planir.OpKernelSVD, planir.OpKernelStats:
 		return kernel
 	case planir.OpKernelBicluster:

@@ -16,13 +16,11 @@ import (
 // The columnar sidecar is the row store's compressed twin of a heap table:
 // one auxiliary heap file per column ("<table>.<col>.colseg") whose records
 // are colpage-encoded segments of sidecarSegmentRows rows each, written in
-// heap order at load time. Scans that today decode every record through
-// ColumnBatch.DecodeColumns can instead parse one page per 1000 rows and
-// push structured predicates down to the encoded form; because segments
+// heap order at load time. Scans parse one page per 1000 rows instead of
+// decoding every record through ColumnBatch.DecodeColumns, and push
+// structured predicates down to the encoded form; because segments
 // preserve heap order exactly, every consumer sees rows in the same order as
 // the row-at-a-time plan and answers stay bitwise identical (DESIGN.md §15).
-// The -compress=false ablation ignores the sidecar and runs the historical
-// decode-then-filter paths.
 
 const (
 	// sidecarSegmentRows is the segment length. A raw 1000-row segment
@@ -261,13 +259,16 @@ func selectIDsCompressed(ctx context.Context, sc *tableSidecar, idName string, p
 	return ids, nil
 }
 
-// sampleSumsCompressed accumulates Q5's per-gene sums over the sampled
+// sampleMeans computes Q5's per-gene mean expression over the sampled
 // patients straight off the microarray segments: the modulus runs once per
 // patientid run (the fact table is loaded patient-major, so runs span whole
-// patients) and only surviving positions gather geneid/value. Segments come
-// in heap order, so the sums accumulate bitwise identically to the dense
-// columnar scan and the hash aggregate.
-func (e *Engine) sampleSumsCompressed(ctx context.Context, step int, sums []float64, counts []int64) error {
+// patients) and only surviving positions gather geneid/value — filtered-out
+// rows are never decoded. Segments come in heap order, so each gene's sum
+// accumulates in the order a row-at-a-time hash aggregate would visit its
+// rows.
+func (e *Engine) sampleMeans(ctx context.Context, step int) ([]float64, int, error) {
+	sums := make([]float64, e.numGenes)
+	counts := make([]int64, e.numGenes)
 	sc := e.sidecars["microarray"]
 	pCur := sc.intSegs("patientid")
 	defer pCur.Close()
@@ -283,24 +284,24 @@ func (e *Engine) sampleSumsCompressed(ctx context.Context, step int, sums []floa
 	for {
 		pPg, err := pCur.Next()
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
 		if pPg == nil {
-			return nil
+			break
 		}
 		gPg, err := gCur.Next()
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
 		vPg, err := vCur.Next()
 		if err != nil {
-			return err
+			return nil, 0, err
 		}
 		if gPg == nil || vPg == nil || gPg.Len() != pPg.Len() || vPg.Len() != pPg.Len() {
-			return fmt.Errorf("rowstore: microarray sidecar segments misaligned")
+			return nil, 0, fmt.Errorf("rowstore: microarray sidecar segments misaligned")
 		}
 		if err := engine.CheckCtx(ctx); err != nil {
-			return err
+			return nil, 0, err
 		}
 		sel = pPg.SelectFn(sample, sel[:0])
 		if len(sel) == 0 {
@@ -313,6 +314,12 @@ func (e *Engine) sampleSumsCompressed(ctx context.Context, step int, sums []floa
 			counts[g]++
 		}
 	}
+	for j := range sums {
+		if counts[j] > 0 {
+			sums[j] /= float64(counts[j])
+		}
+	}
+	return sums, (e.numPatients + step - 1) / step, nil
 }
 
 // scanColumnarCompressed is the sidecar twin of scanColumnar: it decodes

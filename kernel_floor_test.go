@@ -28,7 +28,7 @@ func TestKernelPerfFloor512(t *testing.T) {
 	t.Logf("tiles: %s", linalg.KernelTileInfo())
 
 	want := linalg.MulNaive(a, b) // warmup naive
-	got := linalg.MulBlockedP(a, b, 1)
+	got := linalg.MulP(a, b, 1)
 	if !bitsEqual(got, want) {
 		t.Fatal("packed GEMM is not bitwise identical to MulNaive at 512³")
 	}
@@ -45,7 +45,7 @@ func TestKernelPerfFloor512(t *testing.T) {
 		return bst
 	}
 	naive := best(func() { linalg.MulNaive(a, b) })
-	packed := best(func() { linalg.MulBlockedP(a, b, 1) })
+	packed := best(func() { linalg.MulP(a, b, 1) })
 	t.Logf("naive %v, packed-serial %v (%.2fx)", naive, packed,
 		float64(naive)/float64(packed))
 	if packed > naive {

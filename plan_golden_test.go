@@ -59,7 +59,6 @@ func TestPlanPathMatchesPreRefactorGoldens(t *testing.T) {
 	if testing.Short() {
 		t.Skip("golden sweep is not short")
 	}
-	engine.SetZeroCopy(true)
 	ds, err := datagen.Generate(datagen.Config{Size: datagen.Small, Seed: 1})
 	if err != nil {
 		t.Fatal(err)

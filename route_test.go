@@ -39,7 +39,6 @@ func classGoldenKey(class string, q engine.QueryID) string {
 // carry breakers and counters).
 func fleetUnderTest(t *testing.T) ([]core.FleetMember, func() []serve.Backend) {
 	t.Helper()
-	engine.SetZeroCopy(true)
 	ds, err := datagen.Generate(datagen.Config{Size: datagen.Small, Seed: 1})
 	if err != nil {
 		t.Fatal(err)
