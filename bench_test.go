@@ -19,6 +19,7 @@ import (
 
 	"github.com/genbase/genbase/internal/analytics"
 	"github.com/genbase/genbase/internal/arraydb"
+	"github.com/genbase/genbase/internal/bicluster"
 	"github.com/genbase/genbase/internal/cluster"
 	"github.com/genbase/genbase/internal/colstore"
 	"github.com/genbase/genbase/internal/core"
@@ -317,7 +318,6 @@ const (
 func BenchmarkKernelGEMM(b *testing.B) {
 	a := randomMatrix(kernelRows, kernelCols, 21)
 	w := randomMatrix(kernelCols, 256, 22)
-	linalg.ResolveKernelTiles() // one-time tile autotune outside the timed region
 	b.Run("naive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -345,7 +345,6 @@ func BenchmarkKernelGEMM(b *testing.B) {
 func BenchmarkKernelGEMM512(b *testing.B) {
 	a := randomMatrix(512, 512, 26)
 	w := randomMatrix(512, 512, 27)
-	linalg.ResolveKernelTiles()
 	b.Run("naive", func(b *testing.B) {
 		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
@@ -409,6 +408,89 @@ func BenchmarkKernelSVD(b *testing.B) {
 				}
 			}
 		})
+	}
+}
+
+// --- shared analytics kernels at the medium preset (DESIGN.md §19) ---
+//
+// The query kernels every configuration shares past its data-management
+// half, at the medium preset's shapes (1000 patients × 750 genes × 200 GO
+// terms): Q1's QR least-squares design (1000 × 190), Q2's top-|cov|
+// threshold over 750 genes, Q5's per-term rank-sum over 750 gene means, and
+// Q3's Cheng–Church search on a 200 × 750 matrix with a planted block.
+
+func BenchmarkKernelQR(b *testing.B) {
+	a := randomMatrix(1000, 190, 31)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		f, err := linalg.NewQR(a)
+		if err != nil {
+			b.Fatal(err)
+		}
+		f.Release()
+	}
+}
+
+type benchGeneMeta struct{}
+
+func (benchGeneMeta) FunctionOf(g int) int64 { return int64(g % 7) }
+
+func BenchmarkKernelSummarizeCovariance(b *testing.B) {
+	cov := linalg.CovarianceP(randomMatrix(1000, 750, 32), 1)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		engine.SummarizeCovariance(cov, 0.01, benchGeneMeta{}, 1000)
+	}
+}
+
+func BenchmarkKernelEnrichment(b *testing.B) {
+	const genes, terms = 750, 200
+	rng := datagen.NewRNG(33)
+	means := make([]float64, genes)
+	for i := range means {
+		means[i] = rng.NormFloat64()
+	}
+	members := make([][]int32, terms)
+	for t := range members {
+		for g := 0; g < genes; g++ {
+			if rng.Intn(20) == 0 {
+				members[t] = append(members[t], int32(g))
+			}
+		}
+	}
+	ctx := context.Background()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := engine.EnrichmentTest(ctx, means, members, 100); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
+func BenchmarkKernelBicluster(b *testing.B) {
+	m := randomMatrix(200, 750, 34)
+	rng := datagen.NewRNG(35)
+	rowEff, colEff := make([]float64, 200), make([]float64, 750)
+	for i := range rowEff {
+		rowEff[i] = rng.Float64()
+	}
+	for j := range colEff {
+		colEff[j] = rng.Float64()
+	}
+	for i := 20; i < 80; i++ {
+		for j := 100; j < 400; j++ {
+			m.Set(i, j, 2+rowEff[i]+colEff[j])
+		}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := bicluster.Run(m, bicluster.Options{Seed: 1}); err != nil {
+			b.Fatal(err)
+		}
 	}
 }
 

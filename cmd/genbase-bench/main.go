@@ -15,14 +15,12 @@ import (
 	"flag"
 	"fmt"
 	"os"
-	"runtime"
 	"strconv"
 	"strings"
 	"time"
 
 	"github.com/genbase/genbase/internal/core"
 	"github.com/genbase/genbase/internal/datagen"
-	"github.com/genbase/genbase/internal/linalg"
 	"github.com/genbase/genbase/internal/parallel"
 )
 
@@ -63,19 +61,8 @@ func main() {
 	fitKernels := flag.String("fit-kernels", "BENCH_kernels.json", "fit-cost mode: kernels baseline path")
 	fitServe := flag.String("fit-serve", "BENCH_serve.json", "fit-cost mode: serve baseline path")
 	fitOut := flag.String("fit-out", "internal/cost/coeffs.json", "fit-cost mode: output coefficient file")
-	kernelAutotune := flag.Bool("kernel-autotune", true, "one-time runtime autotune of the packed GEMM tile shape at first large-kernel use; false pins the built-in default tiles (GENBASE_KERNEL_TILES=MCxKCxNC or =off pins from the environment)")
-	kernelInfo := flag.Bool("kernel-info", false, "resolve the packed-GEMM tile shape now (running the autotune probe unless disabled), print it with the Go version — the values recorded in the BENCH_kernels.json header — and exit")
 	quiet := flag.Bool("quiet", false, "suppress progress lines")
 	flag.Parse()
-
-	if !*kernelAutotune {
-		linalg.SetKernelAutotune(false)
-	}
-	if *kernelInfo {
-		linalg.ResolveKernelTiles()
-		fmt.Printf("kernel_tiles: %s\ngo_version: %s\n", linalg.KernelTileInfo(), runtime.Version())
-		return
-	}
 
 	if *fitCost {
 		err := runFitCost(fitConfig{

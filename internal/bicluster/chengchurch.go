@@ -145,15 +145,26 @@ func Run(m *linalg.Matrix, opts Options) ([]Bicluster, error) {
 	return out, nil
 }
 
-// state tracks the live row/col sets plus incremental means for one search.
+// state tracks the live row/col sets of one search. The flags answer
+// membership; liveRows/liveCols list the same sets in ascending order so
+// the O(rows×cols) sweeps touch only live cells, in the order a flag scan
+// would visit them. rowMean, colMean, rowRes and colRes hold the last
+// sweep's per-row and per-column results, overwritten by the next.
 type state struct {
-	m          *linalg.Matrix
-	rows, cols []bool
-	nr, nc     int
+	m                  *linalg.Matrix
+	rows, cols         []bool
+	nr, nc             int
+	liveRows, liveCols []int
+	rowMean, colMean   []float64
+	rowRes, colRes     []float64
 }
 
 func newState(m *linalg.Matrix) *state {
-	s := &state{m: m, rows: make([]bool, m.Rows), cols: make([]bool, m.Cols), nr: m.Rows, nc: m.Cols}
+	s := &state{
+		m: m, rows: make([]bool, m.Rows), cols: make([]bool, m.Cols), nr: m.Rows, nc: m.Cols,
+		rowMean: make([]float64, m.Rows), colMean: make([]float64, m.Cols),
+		rowRes: make([]float64, m.Rows), colRes: make([]float64, m.Cols),
+	}
 	for i := range s.rows {
 		s.rows[i] = true
 	}
@@ -163,22 +174,34 @@ func newState(m *linalg.Matrix) *state {
 	return s
 }
 
-// means recomputes row means, column means and the overall mean of the live
-// sub-matrix.
-func (s *state) means() (rowMean, colMean []float64, all float64) {
-	rowMean = make([]float64, s.m.Rows)
-	colMean = make([]float64, s.m.Cols)
-	total := 0.0
-	for i := 0; i < s.m.Rows; i++ {
-		if !s.rows[i] {
-			continue
+// live lists the indices set in flags, ascending, into buf.
+func live(buf []int, flags []bool) []int {
+	buf = buf[:0]
+	for i, on := range flags {
+		if on {
+			buf = append(buf, i)
 		}
+	}
+	return buf
+}
+
+// sweep recomputes the live sub-matrix's row means and column means (into
+// s.rowMean, s.colMean) and its overall mean all, then the per-row and
+// per-column mean squared residues (into s.rowRes, s.colRes) and the
+// overall MSR h = H(I,J), the mean over live cells of
+// (a_ij − rowMean − colMean + all)². Entries for dead rows and columns are
+// zero.
+func (s *state) sweep() (all, h float64) {
+	s.liveRows = live(s.liveRows, s.rows)
+	s.liveCols = live(s.liveCols, s.cols)
+	rowMean, colMean := s.rowMean, s.colMean
+	clear(rowMean)
+	clear(colMean)
+	total := 0.0
+	for _, i := range s.liveRows {
 		ri := s.m.Row(i)
 		sum := 0.0
-		for j := 0; j < s.m.Cols; j++ {
-			if !s.cols[j] {
-				continue
-			}
+		for _, j := range s.liveCols {
 			v := ri[j]
 			sum += v
 			colMean[j] += v
@@ -186,31 +209,18 @@ func (s *state) means() (rowMean, colMean []float64, all float64) {
 		rowMean[i] = sum / float64(s.nc)
 		total += sum
 	}
-	for j := range colMean {
-		if s.cols[j] {
-			colMean[j] /= float64(s.nr)
-		}
+	for _, j := range s.liveCols {
+		colMean[j] /= float64(s.nr)
 	}
 	all = total / float64(s.nr*s.nc)
-	return rowMean, colMean, all
-}
 
-// residues returns the per-row and per-column mean squared residues and the
-// overall MSR H(I,J) = mean over live cells of (a_ij − rowMean − colMean + all)².
-func (s *state) residues() (rowRes, colRes []float64, h float64) {
-	rowMean, colMean, all := s.means()
-	rowRes = make([]float64, s.m.Rows)
-	colRes = make([]float64, s.m.Cols)
-	total := 0.0
-	for i := 0; i < s.m.Rows; i++ {
-		if !s.rows[i] {
-			continue
-		}
+	rowRes, colRes := s.rowRes, s.colRes
+	clear(rowRes)
+	clear(colRes)
+	total = 0.0
+	for _, i := range s.liveRows {
 		ri := s.m.Row(i)
-		for j := 0; j < s.m.Cols; j++ {
-			if !s.cols[j] {
-				continue
-			}
+		for _, j := range s.liveCols {
 			d := ri[j] - rowMean[i] - colMean[j] + all
 			sq := d * d
 			rowRes[i] += sq
@@ -218,18 +228,13 @@ func (s *state) residues() (rowRes, colRes []float64, h float64) {
 			total += sq
 		}
 	}
-	for i := range rowRes {
-		if s.rows[i] {
-			rowRes[i] /= float64(s.nc)
-		}
+	for _, i := range s.liveRows {
+		rowRes[i] /= float64(s.nc)
 	}
-	for j := range colRes {
-		if s.cols[j] {
-			colRes[j] /= float64(s.nr)
-		}
+	for _, j := range s.liveCols {
+		colRes[j] /= float64(s.nr)
 	}
-	h = total / float64(s.nr*s.nc)
-	return rowRes, colRes, h
+	return all, total / float64(s.nr*s.nc)
 }
 
 // findOne runs one full Cheng–Church search on the working matrix.
@@ -239,11 +244,11 @@ func findOne(m *linalg.Matrix, opts Options) *Bicluster {
 	// Phase 1: multiple node deletion — drop every row/col whose residue
 	// exceeds alpha × H in one sweep, while the matrix is large.
 	for {
-		_, _, h := s.residues()
+		_, h := s.sweep()
+		rowRes, colRes := s.rowRes, s.colRes
 		if h <= opts.Delta || s.nr <= opts.MinRows || s.nc <= opts.MinCols {
 			break
 		}
-		rowRes, colRes, _ := s.residues()
 		removed := false
 		if s.nr > opts.MinRows {
 			for i := 0; i < m.Rows && s.nr > opts.MinRows; i++ {
@@ -271,7 +276,8 @@ func findOne(m *linalg.Matrix, opts Options) *Bicluster {
 	// Phase 2: single node deletion — remove the worst row or column until
 	// H ≤ delta.
 	for {
-		rowRes, colRes, h := s.residues()
+		_, h := s.sweep()
+		rowRes, colRes := s.rowRes, s.colRes
 		if h <= opts.Delta {
 			break
 		}
@@ -301,60 +307,48 @@ func findOne(m *linalg.Matrix, opts Options) *Bicluster {
 	}
 
 	// Phase 3: node addition — re-admit rows/cols whose residue is below the
-	// current H (they do not hurt the bicluster quality).
+	// current H (they do not hurt the bicluster quality). Column additions
+	// leave the live rows alone and row additions the live columns, so each
+	// pass reads the live lists of the sweep that opened it.
 	for {
 		added := false
-		rowMean, colMean, all := s.means()
-		_, _, h := s.residues()
+		all, h := s.sweep()
+		rowMean := s.rowMean
 		for j := 0; j < m.Cols; j++ {
 			if s.cols[j] {
 				continue
 			}
-			res := 0.0
-			cnt := 0
 			cm := 0.0
-			for i := 0; i < m.Rows; i++ {
-				if s.rows[i] {
-					cm += m.At(i, j)
-					cnt++
-				}
+			for _, i := range s.liveRows {
+				cm += m.At(i, j)
 			}
-			if cnt == 0 {
-				continue
-			}
-			cm /= float64(cnt)
-			for i := 0; i < m.Rows; i++ {
-				if !s.rows[i] {
-					continue
-				}
+			cm /= float64(s.nr)
+			res := 0.0
+			for _, i := range s.liveRows {
 				d := m.At(i, j) - rowMean[i] - cm + all
 				res += d * d
 			}
-			if res/float64(cnt) <= h {
+			if res/float64(s.nr) <= h {
 				s.cols[j] = true
 				s.nc++
 				added = true
 			}
 		}
-		rowMean, colMean, all = s.means()
-		_, _, h = s.residues()
+		all, h = s.sweep()
+		colMean := s.colMean
 		for i := 0; i < m.Rows; i++ {
 			if s.rows[i] {
 				continue
 			}
+			ri := m.Row(i)
 			rm := 0.0
-			for j := 0; j < m.Cols; j++ {
-				if s.cols[j] {
-					rm += m.At(i, j)
-				}
+			for _, j := range s.liveCols {
+				rm += ri[j]
 			}
 			rm /= float64(s.nc)
 			res := 0.0
-			for j := 0; j < m.Cols; j++ {
-				if !s.cols[j] {
-					continue
-				}
-				d := m.At(i, j) - rm - colMean[j] + all
+			for _, j := range s.liveCols {
+				d := ri[j] - rm - colMean[j] + all
 				res += d * d
 			}
 			if res/float64(s.nc) <= h {
@@ -379,7 +373,7 @@ func findOne(m *linalg.Matrix, opts Options) *Bicluster {
 			bc.Cols = append(bc.Cols, j)
 		}
 	}
-	_, _, bc.MSR = s.residues()
+	_, bc.MSR = s.sweep()
 	return bc
 }
 

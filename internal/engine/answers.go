@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"math"
+	"math/bits"
 	"slices"
 	"sort"
 
@@ -108,11 +109,13 @@ func BiclusterAnswerFromBlocks(blocks []bicluster.Bicluster, patientIDs []int64)
 // half.
 //
 // The test deliberately re-ranks the combined population per term, exactly
-// as R's wilcox.test (and the paper's per-system implementations) do. This
-// O(terms × genes·log genes) cost is what makes the statistics task spend
-// "almost all of the time" in analytics at scale; a shared-ranking shortcut
-// would produce identical statistics at a small fraction of the cost, but
-// would misrepresent the workload the benchmark measures.
+// as R's wilcox.test (and the paper's per-system implementations) do: each
+// term sorts its in-group and out-group afresh and WilcoxonRankSum merges
+// the two sorted runs into mid-ranks. This O(terms × genes·log genes) cost
+// is what makes the statistics task spend "almost all of the time" in
+// analytics at scale; a shared-ranking shortcut would produce identical
+// statistics at a small fraction of the cost, but would misrepresent the
+// workload the benchmark measures.
 func EnrichmentTest(ctx context.Context, means []float64, members [][]int32, sampled int) (*StatsAnswer, error) {
 	ans := &StatsAnswer{SampledPatients: sampled}
 	inSet := make([]bool, len(means))
@@ -159,11 +162,15 @@ type GeneMeta interface {
 // assembly is shared so every engine's answer is directly comparable; the
 // expensive parts (computing cov, the join implementation for the metadata
 // lookup) remain engine-specific.
+//
+// The threshold is one order statistic of the n(n−1)/2 |cov| values, so it
+// is found by linear-time selection (nthAscending) rather than a full sort;
+// the value is exactly the one sorting would have placed at that index.
 func SummarizeCovariance(cov *linalg.Matrix, topFrac float64, meta GeneMeta, numPatients int) *CovarianceAnswer {
 	n := cov.Rows
 	total := n * (n - 1) / 2
 	// The |cov| ranking buffer is pooled scratch (it is O(genes²)) and the
-	// sorts are allocation-free generic sorts, so the shared answer assembly
+	// selection and sorts are allocation-free, so the shared answer assembly
 	// adds almost nothing to a query's allocation count.
 	abs := linalg.GetSlice(total)
 	k := 0
@@ -174,7 +181,6 @@ func SummarizeCovariance(cov *linalg.Matrix, topFrac float64, meta GeneMeta, num
 			k++
 		}
 	}
-	slices.Sort(abs)
 	keep := int(float64(total) * topFrac)
 	if keep < 1 {
 		keep = 1
@@ -182,7 +188,7 @@ func SummarizeCovariance(cov *linalg.Matrix, topFrac float64, meta GeneMeta, num
 	if keep > total {
 		keep = total
 	}
-	threshold := abs[total-keep]
+	threshold := nthAscending(abs[:total], total-keep)
 	linalg.PutSlice(abs)
 
 	ans := &CovarianceAnswer{NumPatients: numPatients, Threshold: threshold}
@@ -240,6 +246,65 @@ func SummarizeCovariance(cov *linalg.Matrix, topFrac float64, meta GeneMeta, num
 		})
 	}
 	return ans
+}
+
+// nthAscending returns the value slices.Sort(a) would leave at a[k], in
+// expected linear time, permuting a. NaNs, which slices.Sort orders first,
+// are moved to the front in one pass; a three-way-partition quickselect
+// (median-of-three pivot) then narrows the comparable rest to the window
+// holding k. A window that has not shrunk after 2·log₂ n rounds is sorted
+// outright, so adversarial inputs cost O(n log n), not O(n²). Values that
+// compare equal are identical in every input SummarizeCovariance builds
+// (|cov| has no −0), so the answer is the sorted one bit for bit.
+func nthAscending(a []float64, k int) float64 {
+	nan := 0
+	for i, v := range a {
+		if v != v {
+			a[i], a[nan] = a[nan], v
+			nan++
+		}
+	}
+	if k < nan {
+		return a[k]
+	}
+	lo, hi := nan, len(a)
+	for budget := 2 * bits.Len(uint(hi-lo)); hi-lo > 16 && budget > 0; budget-- {
+		x, y, z := a[lo], a[lo+(hi-lo)/2], a[hi-1]
+		if x > y {
+			x, y = y, x
+		}
+		if y > z {
+			y = z
+			if x > y {
+				y = x
+			}
+		}
+		// a[lo:lt] < y, a[lt:i] == y, a[gt:hi] > y.
+		lt, i, gt := lo, lo, hi
+		for i < gt {
+			switch v := a[i]; {
+			case v < y:
+				a[i], a[lt] = a[lt], v
+				lt++
+				i++
+			case v > y:
+				gt--
+				a[i], a[gt] = a[gt], v
+			default:
+				i++
+			}
+		}
+		switch {
+		case k < lt:
+			hi = lt
+		case k >= gt:
+			lo = gt
+		default:
+			return a[k]
+		}
+	}
+	slices.Sort(a[lo:hi])
+	return a[k]
 }
 
 // FitLeastSquares is the shared host regression kernel body: augment x with

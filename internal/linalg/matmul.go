@@ -8,9 +8,8 @@ import (
 
 // matmul implements the GEMM-family kernels. Mul/MulP — the engines'
 // "native BLAS" path — and the AᵀA/ABᵀ variants all route through the packed,
-// register-tiled hierarchy in gemm.go, blocked at the runtime-resolved
-// mc/kc/nc tile shape (tiles.go; override with GENBASE_KERNEL_TILES or
-// SetKernelTiles, ablate the autotune with SetKernelAutotune). MulNaive
+// register-tiled hierarchy in gemm.go, blocked at the fixed mc/kc/nc tile
+// shape (tiles.go; tests pin others with SetKernelTiles). MulNaive
 // exists as the ablation baseline (DESIGN.md §8) and as the reference oracle
 // the bitwise property tests pin the packed kernels against.
 //
@@ -111,7 +110,7 @@ func MulP(a, b *Matrix, workers int) *Matrix {
 		mulSimple(c, a, b)
 		return c
 	}
-	ts := resolveTiles(work)
+	ts := KernelTiles()
 	w := gemmWorkers(workers, 2*work)
 	parallel.ForSplit(w, n, func(lo, hi int) { mulPackedRange(c, a, b, lo, hi, ts) })
 	return c
@@ -153,7 +152,7 @@ func MulATAP(a *Matrix, workers int) *Matrix {
 	if work < packMinWork {
 		gramSimple(c, a, 0, n)
 	} else {
-		ts := resolveTiles(work)
+		ts := KernelTiles()
 		w := gemmWorkers(workers, work)
 		if w <= 1 {
 			gramPackedRange(c, a, 0, n, ts)
@@ -202,7 +201,7 @@ func MulABTP(a, b *Matrix, workers int) *Matrix {
 		abtSimple(c, a, b, 0, a.Rows)
 		return c
 	}
-	ts := resolveTiles(work)
+	ts := KernelTiles()
 	w := gemmWorkers(workers, 2*work)
 	parallel.ForSplit(w, a.Rows, func(lo, hi int) { abtPackedRange(c, a, b, lo, hi, ts) })
 	return c

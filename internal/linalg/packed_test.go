@@ -15,24 +15,19 @@ import (
 // withTinyTiles pins a tile shape small enough that modest test matrices
 // cross every mc/kc/nc boundary (and the 4-wide register tile several times)
 // and forces the packed path even below the small-size cutoff, restoring the
-// autotune state afterwards. Each body also runs unmodified first, covering
+// previous pin afterwards. Each body also runs unmodified first, covering
 // the mulSimple/gramSimple/abtSimple small-size fallbacks bitwise.
 func withTinyTiles(t *testing.T, f func()) {
 	t.Helper()
 	f() // small-size fallback paths
 
-	prev := KernelTiles()
-	wasPinned := tileCfg.Load() != nil
+	prev := pinnedTiles.Load()
 	prevMin := packMinWork
 	SetKernelTiles(TileShape{MC: 8, KC: 16, NC: 12})
 	packMinWork = 0
 	defer func() {
 		packMinWork = prevMin
-		if wasPinned {
-			SetKernelTiles(prev)
-		} else {
-			SetKernelTiles(TileShape{})
-		}
+		pinnedTiles.Store(prev)
 	}()
 	f() // packed path on every shape
 }
@@ -140,8 +135,8 @@ func TestPackedATAandABTBitwise(t *testing.T) {
 }
 
 // TestPackedLargeUnpinnedTiles runs one shape bigger than the default tile
-// set with the autotune left as-is, so the default/resolved path (not just
-// the tiny pinned shape) is exercised bitwise.
+// set with no pin, so the default shape (not just the tiny pinned one) is
+// exercised bitwise.
 func TestPackedLargeUnpinnedTiles(t *testing.T) {
 	ts := KernelTiles()
 	a := randMatrix(ts.MC+5, ts.KC+9, 71)

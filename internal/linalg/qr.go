@@ -6,8 +6,11 @@ import (
 )
 
 // QR holds a Householder QR factorization A = Q·R of an m×n matrix with
-// m ≥ n. The factors are stored compactly: R in the upper triangle of qr and
-// the Householder vectors below the diagonal, with scaling factors in tau.
+// m ≥ n. The factors are stored compactly and column-major: qr is n×m and
+// its row k is column k of the factor — R's column k above the diagonal,
+// the k-th Householder vector from the diagonal down — with R's diagonal in
+// tau. Every Householder step reads and updates whole columns, so storing
+// them as contiguous rows turns each column walk into a unit-stride slice.
 type QR struct {
 	qr  *Matrix
 	tau []float64
@@ -22,52 +25,61 @@ var ErrRankDeficient = errors.New("linalg: matrix is rank deficient")
 var ErrUnderdetermined = errors.New("linalg: QR requires rows >= cols")
 
 // NewQR factors A (m×n, m ≥ n) with Householder reflections. A is not
-// modified. The factor storage comes from the scratch arena; callers that
-// are done with the factorization may Release it (LeastSquares does), and
-// callers that keep it simply let the GC have it.
+// modified: it is transposed once into the factor storage, an n×m matrix
+// from the scratch arena holding the factor column-major (see QR), and
+// factored there column by column. The arithmetic is the row-major
+// algorithm's, operation for operation — the norm as one math.Hypot chain
+// down the column, dot products summed in ascending row order, the same
+// elementwise updates — so the factor is bit-identical to it. Callers that
+// are done with the factorization may Release the storage (LeastSquares
+// does); callers that keep it simply let the GC have it.
 func NewQR(a *Matrix) (*QR, error) {
 	m, n := a.Rows, a.Cols
 	if m < n {
 		return nil, ErrUnderdetermined
 	}
-	qr := GetMatrix(m, n)
+	qr := GetMatrix(n, m)
 	for i := 0; i < m; i++ {
-		copy(qr.Row(i), a.Row(i))
+		for j, v := range a.Row(i) {
+			qr.Data[j*m+i] = v
+		}
 	}
 	tau := GetSlice(n)
 	for i := range tau {
 		tau[i] = 0
 	}
 	for k := 0; k < n; k++ {
-		// Norm of the k-th column below (and including) the diagonal.
+		// v is column k from the diagonal down.
+		v := qr.Row(k)[k:]
 		norm := 0.0
-		for i := k; i < m; i++ {
-			norm = math.Hypot(norm, qr.At(i, k))
+		for _, x := range v {
+			norm = math.Hypot(norm, x)
 		}
 		if norm == 0 {
 			tau[k] = 0
 			continue
 		}
-		if qr.At(k, k) < 0 {
+		if v[0] < 0 {
 			norm = -norm
 		}
 		// Form the Householder vector v (stored in place, scaled so that the
 		// reflector is I − v·vᵀ/v_k).
-		for i := k; i < m; i++ {
-			qr.Set(i, k, qr.At(i, k)/norm)
+		for i := range v {
+			v[i] /= norm
 		}
-		qr.Set(k, k, qr.At(k, k)+1)
+		v[0]++
 		tau[k] = -norm // diagonal of R
 		// Apply the reflector to the remaining columns.
-		vkk := qr.At(k, k)
+		vkk := v[0]
 		for j := k + 1; j < n; j++ {
+			c := qr.Row(j)[k:]
 			s := 0.0
-			for i := k; i < m; i++ {
-				s += qr.At(i, k) * qr.At(i, j)
+			for i, x := range v {
+				s += x * c[i]
 			}
 			s = -s / vkk
-			for i := k; i < m; i++ {
-				qr.Set(i, j, qr.At(i, j)+s*qr.At(i, k))
+			for i, x := range v {
+				c[i] += s * x
 			}
 		}
 	}
@@ -84,15 +96,12 @@ func (f *QR) Release() {
 
 // R returns the upper-triangular factor (n×n).
 func (f *QR) R() *Matrix {
-	n := f.qr.Cols
+	n := f.qr.Rows
 	r := NewMatrix(n, n)
 	for i := 0; i < n; i++ {
-		for j := i; j < n; j++ {
-			if i == j {
-				r.Set(i, j, f.tau[i])
-			} else {
-				r.Set(i, j, f.qr.At(i, j))
-			}
+		r.Set(i, i, f.tau[i])
+		for j := i + 1; j < n; j++ {
+			r.Set(i, j, f.qr.At(j, i))
 		}
 	}
 	return r
@@ -100,21 +109,22 @@ func (f *QR) R() *Matrix {
 
 // Q returns the thin orthonormal factor (m×n).
 func (f *QR) Q() *Matrix {
-	m, n := f.qr.Rows, f.qr.Cols
+	n, m := f.qr.Rows, f.qr.Cols
 	q := NewMatrix(m, n)
 	for k := n - 1; k >= 0; k-- {
 		q.Set(k, k, 1)
-		if f.qr.At(k, k) == 0 {
+		v := f.qr.Row(k)[k:]
+		if v[0] == 0 {
 			continue
 		}
 		for j := k; j < n; j++ {
 			s := 0.0
-			for i := k; i < m; i++ {
-				s += f.qr.At(i, k) * q.At(i, j)
+			for i, x := range v {
+				s += x * q.At(k+i, j)
 			}
-			s = -s / f.qr.At(k, k)
-			for i := k; i < m; i++ {
-				q.Set(i, j, q.At(i, j)+s*f.qr.At(i, k))
+			s = -s / v[0]
+			for i, x := range v {
+				q.Set(k+i, j, q.At(k+i, j)+s*x)
 			}
 		}
 	}
@@ -124,49 +134,51 @@ func (f *QR) Q() *Matrix {
 // QTVec applies Qᵀ to a vector of length m, returning the first n entries
 // (enough for a least-squares solve) followed by the residual part.
 func (f *QR) QTVec(b []float64) []float64 {
-	y := make([]float64, f.qr.Rows)
+	y := make([]float64, f.qr.Cols)
 	f.qtvecInto(y, b)
 	return y
 }
 
 // qtvecInto is QTVec into caller-owned storage (len m, fully overwritten).
 func (f *QR) qtvecInto(y, b []float64) {
-	m, n := f.qr.Rows, f.qr.Cols
+	n, m := f.qr.Rows, f.qr.Cols
 	if len(b) != m {
 		panic("linalg: QTVec length mismatch")
 	}
 	copy(y, b)
 	for k := 0; k < n; k++ {
-		if f.qr.At(k, k) == 0 {
+		v := f.qr.Row(k)[k:]
+		if v[0] == 0 {
 			continue
 		}
+		yk := y[k:]
 		s := 0.0
-		for i := k; i < m; i++ {
-			s += f.qr.At(i, k) * y[i]
+		for i, x := range v {
+			s += x * yk[i]
 		}
-		s = -s / f.qr.At(k, k)
-		for i := k; i < m; i++ {
-			y[i] += s * f.qr.At(i, k)
+		s = -s / v[0]
+		for i, x := range v {
+			yk[i] += s * x
 		}
 	}
 }
 
 // Solve returns the least-squares solution x minimizing ‖Ax − b‖₂.
 func (f *QR) Solve(b []float64) ([]float64, error) {
-	n := f.qr.Cols
-	y := GetSlice(f.qr.Rows)
+	n := f.qr.Rows
+	y := GetSlice(f.qr.Cols)
 	f.qtvecInto(y, b)
 	x := make([]float64, n)
 	copy(x, y[:n])
 	PutSlice(y)
-	// Back-substitute R x = y.
+	// Back-substitute R x = y; R(k, j) is row k of factor column j.
 	for k := n - 1; k >= 0; k-- {
 		rkk := f.tau[k]
 		if math.Abs(rkk) < 1e-12 {
 			return nil, ErrRankDeficient
 		}
 		for j := k + 1; j < n; j++ {
-			x[k] -= f.qr.At(k, j) * x[j]
+			x[k] -= f.qr.At(j, k) * x[j]
 		}
 		x[k] /= rkk
 	}

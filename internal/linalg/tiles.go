@@ -2,16 +2,11 @@ package linalg
 
 import (
 	"fmt"
-	"os"
-	"strconv"
-	"strings"
-	"sync"
 	"sync/atomic"
-	"time"
 )
 
-// tiles.go holds the cache-blocking geometry of the packed GEMM family and
-// its one-time runtime autotune (DESIGN.md §17).
+// tiles.go holds the cache-blocking geometry of the packed GEMM family
+// (DESIGN.md §17).
 //
 // The packed kernels block at three levels, Goto/BLIS style:
 //
@@ -25,8 +20,8 @@ import (
 // Under them sits a fixed 4×4 register tile (mrTile×nrTile): sixteen
 // accumulators the compiler keeps in registers across the whole KC panel.
 // Tile sizes steer only cache locality — every output element accumulates
-// its k terms in ascending order no matter the shape — so the autotune can
-// pick whatever is fastest on the host without touching a single result bit.
+// its k terms in ascending order no matter the shape — so tests can pin
+// any shape without touching a single result bit.
 
 // TileShape is the (MC, KC, NC) cache-blocking geometry of the packed GEMM
 // kernels. The zero value means "unpinned" in SetKernelTiles.
@@ -41,190 +36,44 @@ const (
 	nrTile = 4
 )
 
-// defaultTiles is the shape used before (or instead of) the autotune: a
-// 16 KiB L1 B-panel slab (kc·nr doubles), a 256 KiB L2 A block.
+// defaultTiles is the shape every packed kernel uses unless one is pinned:
+// a 16 KiB L1 B-panel slab (kc·nr doubles), a 256 KiB L2 A block. It is
+// fixed rather than probed at run time: serial GEMM at 512³ on a 2-CPU
+// Xeon host put four bracketing shapes (mc64/kc128/nc512 through
+// mc256/kc512/nc512) within each other's run-to-run spread (DESIGN.md §17).
 var defaultTiles = TileShape{MC: 128, KC: 256, NC: 512}
 
-// tileCandidates are the shapes the one-time autotune probes. They bracket
-// the L1/L2 trade-off rather than exhausting it: the probe must stay cheap
-// enough to amortize on first use.
-var tileCandidates = []TileShape{
-	{MC: 64, KC: 128, NC: 512},
-	{MC: 128, KC: 256, NC: 512},
-	{MC: 192, KC: 384, NC: 768},
-	{MC: 256, KC: 512, NC: 512},
-}
-
-// probeMinWork is the M·N·K product below which first use does NOT trigger
-// the autotune probe: small kernels would never repay the ~half-second probe,
-// and the serve path's small-preset queries must not stall on it. The probe
-// itself runs above this size so the candidates actually differentiate.
-const probeMinWork = 1 << 24
-
-// tileConfig is the resolved blocking choice plus where it came from
-// ("default", "env", "pinned", "autotuned") for the bench JSON headers.
-type tileConfig struct {
-	shape  TileShape
-	source string
-}
-
-var (
-	tileCfg         atomic.Pointer[tileConfig] // nil until resolved
-	tileMu          sync.Mutex                 // serializes the probe
-	autotuneAllowed atomic.Bool
-)
-
-// EnvTiles pins the tile shape from the environment: "MCxKCxNC" (e.g.
-// "128x256x512") pins an explicit shape, "off" pins the built-in default
-// without probing. Anything else (including unset) leaves the autotune on.
-const EnvTiles = "GENBASE_KERNEL_TILES"
-
-func init() {
-	autotuneAllowed.Store(true)
-	switch v := strings.TrimSpace(os.Getenv(EnvTiles)); {
-	case v == "":
-	case strings.EqualFold(v, "off"):
-		autotuneAllowed.Store(false)
-		tileCfg.Store(&tileConfig{defaultTiles, "default"})
-	default:
-		if t, ok := parseTiles(v); ok {
-			autotuneAllowed.Store(false)
-			tileCfg.Store(&tileConfig{t, "env"})
-		}
-	}
-}
-
-func parseTiles(s string) (TileShape, bool) {
-	parts := strings.Split(strings.ToLower(s), "x")
-	if len(parts) != 3 {
-		return TileShape{}, false
-	}
-	var v [3]int
-	for i, p := range parts {
-		n, err := strconv.Atoi(strings.TrimSpace(p))
-		if err != nil || n < 1 {
-			return TileShape{}, false
-		}
-		v[i] = n
-	}
-	return TileShape{MC: v[0], KC: v[1], NC: v[2]}, true
-}
-
-// SetKernelAutotune enables or disables the first-use autotune probe.
-// Disabling pins the built-in default shape immediately (the genbase-bench
-// -kernel-autotune=false ablation); re-enabling clears the resolution so the
-// next large kernel probes again.
-func SetKernelAutotune(on bool) {
-	tileMu.Lock()
-	defer tileMu.Unlock()
-	autotuneAllowed.Store(on)
-	if on {
-		tileCfg.Store(nil)
-	} else {
-		tileCfg.Store(&tileConfig{defaultTiles, "default"})
-	}
-}
+// pinnedTiles overrides defaultTiles when non-nil (SetKernelTiles).
+var pinnedTiles atomic.Pointer[TileShape]
 
 // SetKernelTiles pins an explicit tile shape (tests pin tiny shapes to
-// exercise every block boundary). The zero TileShape unpins and re-enables
-// the autotune.
+// exercise every block boundary). The zero TileShape unpins, restoring
+// defaultTiles.
 func SetKernelTiles(t TileShape) {
-	tileMu.Lock()
-	defer tileMu.Unlock()
 	if t == (TileShape{}) {
-		tileCfg.Store(nil)
-		autotuneAllowed.Store(true)
+		pinnedTiles.Store(nil)
 		return
 	}
 	if t.MC < 1 || t.KC < 1 || t.NC < 1 {
 		panic(fmt.Sprintf("linalg: invalid tile shape %+v", t))
 	}
-	tileCfg.Store(&tileConfig{t, "pinned"})
+	pinnedTiles.Store(&t)
 }
 
-// KernelTiles returns the shape the next packed kernel will use, without
-// triggering the probe.
+// KernelTiles returns the shape the next packed kernel will use.
 func KernelTiles() TileShape {
-	if cfg := tileCfg.Load(); cfg != nil {
-		return cfg.shape
+	if p := pinnedTiles.Load(); p != nil {
+		return *p
 	}
 	return defaultTiles
 }
 
-// KernelTileInfo describes the current tile resolution for bench JSON
-// headers, e.g. "mr4 nr4 mc128 kc256 nc512 (autotuned)".
+// KernelTileInfo describes the tile shape for bench result headers, e.g.
+// "mr4 nr4 mc128 kc256 nc512 (default)".
 func KernelTileInfo() string {
-	cfg := tileCfg.Load()
-	if cfg == nil {
-		cfg = &tileConfig{defaultTiles, "default"}
+	ts, source := defaultTiles, "default"
+	if p := pinnedTiles.Load(); p != nil {
+		ts, source = *p, "pinned"
 	}
-	return fmt.Sprintf("mr%d nr%d mc%d kc%d nc%d (%s)",
-		mrTile, nrTile, cfg.shape.MC, cfg.shape.KC, cfg.shape.NC, cfg.source)
-}
-
-// ResolveKernelTiles forces the tile resolution now — running the autotune
-// probe if it is enabled and no shape is pinned — and returns the result
-// (the genbase-bench -kernel-info mode).
-func ResolveKernelTiles() TileShape {
-	if cfg := tileCfg.Load(); cfg != nil {
-		return cfg.shape
-	}
-	if !autotuneAllowed.Load() {
-		return defaultTiles
-	}
-	tileMu.Lock()
-	defer tileMu.Unlock()
-	if cfg := tileCfg.Load(); cfg != nil {
-		return cfg.shape
-	}
-	shape := autotuneProbe()
-	tileCfg.Store(&tileConfig{shape, "autotuned"})
-	return shape
-}
-
-// resolveTiles is the kernels' entry point: the resolved shape if one
-// exists, the default for kernels too small to repay a probe, otherwise the
-// one-time autotune.
-func resolveTiles(work int64) TileShape {
-	if cfg := tileCfg.Load(); cfg != nil {
-		return cfg.shape
-	}
-	if work < probeMinWork || !autotuneAllowed.Load() {
-		return defaultTiles
-	}
-	return ResolveKernelTiles()
-}
-
-// autotuneProbe times each candidate shape on a fixed synthetic GEMM
-// (256×512 · 512×256, deterministic values) and returns the fastest,
-// best-of-two per candidate after a shared warmup. Timing is the only
-// nondeterminism here and it can only pick a shape, never change a bit.
-func autotuneProbe() TileShape {
-	const pm, pk, pn = 256, 512, 256
-	rng := splitMix64(0x6b8b4567)
-	a := NewMatrix(pm, pk)
-	for i := range a.Data {
-		a.Data[i] = rng() - 0.5
-	}
-	b := NewMatrix(pk, pn)
-	for i := range b.Data {
-		b.Data[i] = rng() - 0.5
-	}
-	c := NewMatrix(pm, pn) // accumulated into across runs; only time matters
-	mulPackedRange(c, a, b, 0, pm, defaultTiles)
-	best, bestT := defaultTiles, time.Duration(1<<62)
-	for _, cand := range tileCandidates {
-		t := time.Duration(1 << 62)
-		for rep := 0; rep < 2; rep++ {
-			t0 := time.Now()
-			mulPackedRange(c, a, b, 0, pm, cand)
-			if d := time.Since(t0); d < t {
-				t = d
-			}
-		}
-		if t < bestT {
-			best, bestT = cand, t
-		}
-	}
-	return best
+	return fmt.Sprintf("mr%d nr%d mc%d kc%d nc%d (%s)", mrTile, nrTile, ts.MC, ts.KC, ts.NC, source)
 }
